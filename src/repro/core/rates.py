@@ -98,7 +98,10 @@ class CapacityRateProvider:
     ) -> float:
         if not member_indices:
             raise ValueError("need at least one member")
-        worst = min(self._multiplier(u, sample_index) for u in member_indices)
+        # Without a timeline every multiplier is 1.0: skip the per-member walk.
+        worst = 1.0 if self.timeline is None else min(
+            self._multiplier(u, sample_index) for u in member_indices
+        )
         return self._base_rate() * self.multicast_rate_fraction * worst
 
     def rss_dbm(self, user_index: int, sample_index: int) -> float | None:

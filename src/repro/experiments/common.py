@@ -15,6 +15,7 @@ import numpy as np
 from ..defaults import DEFAULT_SEED
 from ..mmwave import AccessPoint, Channel, Codebook, Room
 from ..pointcloud import QUALITIES, CellGrid, PointCloudVideo, synthesize_video
+from ..scenario.shard import venue_library
 from ..traces import UserStudy, generate_user_study
 
 __all__ = [
@@ -195,6 +196,7 @@ def clear_fixture_caches() -> None:
     _study_in_room.cache_clear()
     default_codebook.cache_clear()
     ideal_codebook.cache_clear()
+    venue_library.cache_clear()
 
 
 def grid_for(video: PointCloudVideo, cell_size: float) -> CellGrid:

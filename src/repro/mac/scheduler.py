@@ -66,6 +66,37 @@ class UserDemand:
         return float(sum(self.cell_bytes.values()))
 
 
+# Distinct ``cell_bytes`` dicts keyed by ``id``.  Venue users of one
+# archetype share a single dict, so per-dict work runs once per archetype
+# rather than once per user.  The ids are only meaningful while the
+# demands are alive: a map never outlives the call that built it.
+_CellMaps = dict[int, dict[int, float]]
+
+
+def _cell_maps(demands: list[UserDemand]) -> _CellMaps:
+    """The distinct ``cell_bytes`` objects of ``demands``, first seen first."""
+    return {id(d.cell_bytes): d.cell_bytes for d in demands}
+
+
+def _shared_cells(maps: _CellMaps) -> set[int]:
+    """Cells present in every map (``maps`` non-empty)."""
+    first, *rest = maps.values()
+    shared = set(first)
+    for m in rest:
+        shared.intersection_update(m)
+    return shared
+
+
+def _max_shared_bytes(maps: _CellMaps, shared: set[int]) -> float:
+    """Per-cell max over the maps, summed over the shared cells in order."""
+    return float(sum(max(m[c] for m in maps.values()) for c in sorted(shared)))
+
+
+def _totals(demands: list[UserDemand]) -> dict[int, float]:
+    """Total requested bytes of each distinct ``cell_bytes``, by ``id``."""
+    return {key: float(sum(m.values())) for key, m in _cell_maps(demands).items()}
+
+
 def overlap_bytes(demands: list[UserDemand]) -> float:
     """S_m(k): bytes of the cells *every* group member requests.
 
@@ -76,12 +107,8 @@ def overlap_bytes(demands: list[UserDemand]) -> float:
     """
     if not demands:
         return 0.0
-    shared = set(demands[0].cell_bytes)
-    for d in demands[1:]:
-        shared &= set(d.cell_bytes)
-    return float(
-        sum(max(d.cell_bytes[c] for d in demands) for c in sorted(shared))
-    )
+    maps = _cell_maps(demands)
+    return _max_shared_bytes(maps, _shared_cells(maps))
 
 
 def _transfer_time_s(nbytes: float, rate_mbps: float) -> float:
@@ -95,8 +122,11 @@ def _transfer_time_s(nbytes: float, rate_mbps: float) -> float:
 
 def unicast_frame_time(demands: list[UserDemand]) -> float:
     """Serialized airtime to unicast every user's full demand."""
-    return float(sum(_transfer_time_s(d.total_bytes, d.unicast_rate_mbps)
-                     for d in demands))
+    totals = _totals(demands)
+    return float(sum(
+        _transfer_time_s(totals[id(d.cell_bytes)], d.unicast_rate_mbps)
+        for d in demands
+    ))
 
 
 def multicast_frame_time(
@@ -109,14 +139,15 @@ def multicast_frame_time(
     """
     if not demands:
         return 0.0
-    s_m = overlap_bytes(demands)
-    t = _transfer_time_s(s_m, multicast_rate_mbps)
-    shared = set(demands[0].cell_bytes)
-    for d in demands[1:]:
-        shared &= set(d.cell_bytes)
+    maps = _cell_maps(demands)
+    shared = _shared_cells(maps)
+    t = _transfer_time_s(_max_shared_bytes(maps, shared), multicast_rate_mbps)
+    residuals = {
+        key: sum(b for c, b in m.items() if c not in shared)
+        for key, m in maps.items()
+    }
     for d in demands:
-        residual = sum(b for c, b in d.cell_bytes.items() if c not in shared)
-        t += _transfer_time_s(residual, d.unicast_rate_mbps)
+        t += _transfer_time_s(residuals[id(d.cell_bytes)], d.unicast_rate_mbps)
     return float(t)
 
 
@@ -150,7 +181,8 @@ class FramePlan:
 
     @property
     def solo_users(self) -> list[int]:
-        return [u for u in self.demands if u not in self.grouped_users]
+        grouped = self.grouped_users
+        return [u for u in self.demands if u not in grouped]
 
     def total_time_s(self) -> float:
         """Airtime to deliver the frame to everyone under this plan."""
@@ -160,10 +192,10 @@ class FramePlan:
             group_demands = [self.demands[m] for m in members]
             t += multicast_frame_time(group_demands, rate)
             num_transmissions += 1 + len(members)  # one multicast + residuals
-        for u in self.solo_users:
-            t += _transfer_time_s(
-                self.demands[u].total_bytes, self.demands[u].unicast_rate_mbps
-            )
+        solo = [self.demands[u] for u in self.solo_users]
+        totals = _totals(solo)
+        for d in solo:
+            t += _transfer_time_s(totals[id(d.cell_bytes)], d.unicast_rate_mbps)
             num_transmissions += 1
         return t + self.beam_switch_overhead_s * num_transmissions
 

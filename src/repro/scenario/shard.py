@@ -11,7 +11,11 @@ viewer archetypes, so per-tick visibility, compressed cell demands, and
 pairwise viewport IoU are computed once per *archetype* (via the
 vectorized kernels — :func:`~repro.pointcloud.compute_visibility_batch`
 and :func:`~repro.core.similarity.pairwise_iou_matrix`) and shared by
-reference across the hundreds of users mapped to them.  Multicast groups
+reference across the hundreds of users mapped to them; the MAC airtime
+model then prices each distinct demand dict once per call, so a tick
+costs O(users).  The archetype content and study live in one
+:class:`ArchetypeLibrary` per venue per process (:func:`venue_library`),
+shared by every shard that process runs.  Multicast groups
 are archetype clusters: same-archetype users have identical viewports
 (IoU 1), and archetypes whose IoU clears ``venue.min_group_iou`` merge by
 deterministic union-find over the ``(-iou, i, j)``-sorted pair list.
@@ -25,6 +29,7 @@ planner's merge bit-identical across shard counts
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from ..core.similarity import pairwise_iou_matrix
 from ..mac.scheduler import (
@@ -52,7 +57,7 @@ from .spec import VenueSpec
 from .systems import capacity_model
 from ..core.rates import CapacityRateProvider
 
-__all__ = ["ArchetypeLibrary", "ShardEngine", "run_shard"]
+__all__ = ["ArchetypeLibrary", "ShardEngine", "run_shard", "venue_library"]
 
 # Rooms are numbered into disjoint frame-id ranges so (unit, frame) span
 # keys never collide when one shard traces several rooms.
@@ -111,11 +116,11 @@ _EV_ROOM_TICK = _trace.event_type(
 class ArchetypeLibrary:
     """Shared per-archetype content, visibility, and similarity caches.
 
-    One library serves every room in a shard: content is cached per
-    quality, and per-``(quality, tick)`` the archetype demands (compressed
-    cell bytes), visibility maps, and multicast clustering are computed
-    once with the vectorized kernels and reused by every room playing that
-    quality.
+    One library serves every shard of a venue in this process (see
+    :func:`venue_library`): content is cached per quality, and
+    per-``(quality, tick)`` the archetype demands (compressed cell bytes),
+    visibility maps, and multicast clustering are computed once with the
+    vectorized kernels and reused by every room playing that quality.
     """
 
     def __init__(self, venue: VenueSpec) -> None:
@@ -229,6 +234,19 @@ class ArchetypeLibrary:
         )
 
 
+@lru_cache(maxsize=2)
+def venue_library(venue: VenueSpec) -> ArchetypeLibrary:
+    """The process-wide :class:`ArchetypeLibrary` of ``venue``.
+
+    The library reads venue-wide fields only, never the rooms, so every
+    shard of a venue run in this process shares one copy: the content is
+    synthesized and the archetype study generated once per process rather
+    than once per shard.  ``experiments.common.clear_fixture_caches``
+    drops it.
+    """
+    return ArchetypeLibrary(venue)
+
+
 class _TickStats:
     """Constant-size fold of a room's per-tick delivery results.
 
@@ -295,7 +313,7 @@ class ShardEngine:
             raise ValueError("a shard needs at least one room")
         self.venue = venue
         self.room_indices = tuple(sorted(room_indices))
-        self.library = ArchetypeLibrary(venue)
+        self.library = venue_library(venue)
 
     def run(self) -> dict:
         """Run every room in the shard; rooms report in venue order."""

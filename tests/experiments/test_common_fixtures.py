@@ -10,6 +10,8 @@ rebuild state safely.
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.defaults import DEFAULT_SEED
@@ -20,6 +22,8 @@ from repro.experiments.common import (
     default_video,
     study_in_room,
 )
+from repro.scenario import VenueSpec, run_shard
+from repro.scenario.shard import venue_library
 
 
 def test_default_seed_has_one_source():
@@ -58,3 +62,17 @@ def test_clear_fixture_caches_forces_rebuild():
     clear_fixture_caches()
     after = default_video("low", 30, 1000)
     assert after is not before
+
+
+def test_clear_fixture_caches_rebuilds_venue_library_bit_identically():
+    venue = VenueSpec.uniform(
+        2, 8, initial_users=4, quality="medium", duration_s=3.0, seed=23,
+        archetypes=3,
+    )
+    before = venue_library(venue)
+    first = run_shard(venue, (0, 1))
+    assert venue_library(venue) is before
+    clear_fixture_caches()
+    second = run_shard(venue, (0, 1))
+    assert venue_library(venue) is not before
+    assert json.dumps(second, sort_keys=True) == json.dumps(first, sort_keys=True)
