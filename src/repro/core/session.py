@@ -31,6 +31,7 @@ from ..pointcloud import (
     PointCloudVideo,
     QUALITIES,
     VisibilityConfig,
+    VisibilityResult,
     compute_visibility,
 )
 from ..prediction.base import ViewportPredictor
@@ -156,6 +157,14 @@ class _DemandBuilder:
         history = trace.window(now_index, int(round(trace.rate_hz)))
         return predictor.predict(history, horizon)
 
+    def _visibility(
+        self, user_index: int, frame_index: int, now_s: float
+    ) -> VisibilityResult:
+        """Visible cells of one frame from the user's demand pose."""
+        occ = self.occupancy(frame_index)
+        pose = self.pose_for(user_index, frame_index, now_s)
+        return compute_visibility(occ, pose.frustum(), self.config.visibility)
+
     def demand(
         self,
         user_index: int,
@@ -164,9 +173,7 @@ class _DemandBuilder:
         now_s: float,
         unicast_rate_mbps: float,
     ) -> UserDemand:
-        occ = self.occupancy(frame_index)
-        pose = self.pose_for(user_index, frame_index, now_s)
-        vis = compute_visibility(occ, pose.frustum(), self.config.visibility)
+        vis = self._visibility(user_index, frame_index, now_s)
         level = QUALITIES[quality]
         scale = level.points_per_frame / self.config.video.quality.points_per_frame
         cell_bytes = {}
@@ -182,10 +189,7 @@ class _DemandBuilder:
         )
 
     def visible_fraction(self, user_index: int, frame_index: int, now_s: float) -> float:
-        occ = self.occupancy(frame_index)
-        pose = self.pose_for(user_index, frame_index, now_s)
-        vis = compute_visibility(occ, pose.frustum(), self.config.visibility)
-        return vis.visible_fraction
+        return self._visibility(user_index, frame_index, now_s).visible_fraction
 
 
 def _group_demands(
@@ -282,6 +286,9 @@ class StreamingSession:
 
     def __init__(self, config: SessionConfig) -> None:
         self.config = config
+        # Read once: the property is re-derived on every access and the
+        # per-step loops below would otherwise evaluate it ~10^5 times.
+        self._num_frames = config.num_frames
         self.builder = _DemandBuilder(config)
         self.env = Environment()
         n = len(config.study)
@@ -323,7 +330,7 @@ class StreamingSession:
         buf = self.buffers[user]
         candidate = buf.next_playback_index
         window = self.config.max_buffer_frames + self.prefetch_extra[user]
-        while candidate < self.config.num_frames:
+        while candidate < self._num_frames:
             if candidate >= buf.next_playback_index + window:
                 return None
             if not buf.has_frame(candidate):
@@ -448,7 +455,7 @@ class StreamingSession:
                             t=self.env.now, user=user, state="playing"
                         )
                 continue
-            if buf.next_playback_index >= config.num_frames:
+            if buf.next_playback_index >= self._num_frames:
                 break  # finished the content
             frame = buf.play_next()
             if frame is None:
@@ -526,7 +533,7 @@ class StreamingSession:
                 self._tx_attempts[u] = 0
                 self._tx_failures[u] = 0
                 frame_hint = min(
-                    self.buffers[u].next_playback_index, config.num_frames - 1
+                    self.buffers[u].next_playback_index, self._num_frames - 1
                 )
                 inputs = AdaptationInputs(
                     user_id=u,

@@ -303,9 +303,7 @@ def run_kernel_bench(num_users: int = 1000) -> list[dict[str, Any]]:
     occ = grid.occupancy(video[0])
     config = VisibilityConfig()
     cell_ids = occ.cell_ids
-    nominal = occ.nominal_counts().astype(np.float64)
-    lows, highs = grid.cell_bounds_array(cell_ids)
-    centers = grid.cell_centers(cell_ids)
+    nominal, lows, highs, centers = occ.cell_arrays
     frustums = [t.pose_at(1.0).frustum() for t in study.traces]
     repeats = 20  # single pass is ~ms-scale; repeat to swamp timer jitter
     t0 = perf_counter()

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..geometry import AABB
+from .cells import CellArrays
 from .cloud import PointCloudFrame
 
 __all__ = ["Octree", "OctreeOccupancy", "build_octree"]
@@ -94,12 +95,13 @@ def _leaf_id(depth: int, path_index: int) -> int:
 
 
 @dataclass(frozen=True)
-class OctreeOccupancy:
+class OctreeOccupancy(CellArrays):
     """Octree leaves exposed with the :class:`FrameOccupancy` interface.
 
     Duck-type compatible with what :func:`compute_visibility` needs: a
     ``grid``-like object (self) offering ``cell_bounds_array`` and
-    ``cell_centers``, plus parallel ``cell_ids``/``counts`` arrays.
+    ``cell_centers``, parallel ``cell_ids``/``counts`` arrays, and the
+    per-frame cell arrays of :class:`~repro.pointcloud.cells.CellArrays`.
     """
 
     tree: Octree

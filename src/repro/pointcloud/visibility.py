@@ -140,21 +140,15 @@ def compute_visibility_batch(
     """Visibility for many viewers of one frame, sharing per-frame arrays.
 
     Cell bounds, centers, and nominal counts depend only on the occupancy,
-    so for a venue's worth of viewers they are computed once here instead
-    of once per viewer.  Each viewer's result is identical to calling
-    :func:`compute_visibility` alone.
+    so they come from its :attr:`~repro.pointcloud.cells.CellArrays.cell_arrays`,
+    computed once per occupancy instead of once per viewer or call.  Each
+    viewer's result is identical to calling :func:`compute_visibility` alone.
     """
     config = config or VisibilityConfig()
     grid = occupancy.grid
     all_ids = occupancy.cell_ids
-    all_nominal = occupancy.nominal_counts().astype(np.float64)
+    all_nominal, all_lows, all_highs, all_centers = occupancy.cell_arrays
     frame_points = float(all_nominal.sum())
-
-    all_lows = all_highs = all_centers = None
-    if len(all_ids) and (config.viewport or config.occlusion):
-        all_lows, all_highs = grid.cell_bounds_array(all_ids)
-    if len(all_ids) and (config.occlusion or config.distance):
-        all_centers = grid.cell_centers(all_ids)
 
     results = []
     for frustum in frustums:
@@ -166,9 +160,7 @@ def compute_visibility_batch(
             mask = frustum.intersects_aabbs(lows, highs)
             cell_ids = cell_ids[mask]
             nominal = nominal[mask]
-            lows, highs = lows[mask], highs[mask]
-            if centers is not None:
-                centers = centers[mask]
+            lows, highs, centers = lows[mask], highs[mask], centers[mask]
 
         # 2. Occlusion: angular-bin depth culling.
         if config.occlusion and len(cell_ids):
