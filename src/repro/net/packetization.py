@@ -105,11 +105,22 @@ def packetize_cells(
     cell_bytes: dict[int, float],
     config: PacketizationConfig = PacketizationConfig(),
 ) -> PacketizedUnit:
-    """Packetize a per-cell demand map; cells never share a PDU."""
-    unit = PacketizedUnit(num_packets=0, app_bytes=0.0, wire_bytes=0.0)
+    """Packetize a per-cell demand map; cells never share a PDU.
+
+    The sum of :func:`packetize_bytes` over the cells, accumulated left to
+    right with the same float additions, without a unit per cell.
+    """
+    payload = config.payload_bytes
+    header = config.header_bytes
+    packets = 0
+    app = 0.0
+    wire = 0.0
     for nbytes in cell_bytes.values():
-        unit = unit + packetize_bytes(nbytes, config)
-    return unit
+        n = packet_count(nbytes, payload)
+        packets += n
+        app += float(nbytes)
+        wire += float(nbytes) + n * header
+    return PacketizedUnit(num_packets=packets, app_bytes=app, wire_bytes=wire)
 
 
 def packetize_demand(

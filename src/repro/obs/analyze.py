@@ -39,7 +39,7 @@ from __future__ import annotations
 import math
 from typing import Any, Iterable, Mapping
 
-from .spans import FrameSpans
+from .spans import FrameSpans, seq_key
 
 __all__ = [
     "AttributionSegment",
@@ -215,7 +215,7 @@ def analyze(
     from .stream import AnalyzeAccumulator
 
     acc = AnalyzeAccumulator(top=top)
-    for ev in sorted(events, key=lambda ev: int(ev.get("seq", 0))):
+    for ev in sorted(events, key=seq_key):
         acc.add_event(ev)
     return acc.finalize()
 

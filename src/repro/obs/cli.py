@@ -407,8 +407,14 @@ def _report_main(args: argparse.Namespace) -> int:
 def obs_main(argv: list[str] | None = None) -> int:
     """Entry point for ``repro obs`` (returns a process exit status)."""
     from .analyze import analyze, format_report
-    from .slo import evaluate_spec, format_results, load_spec, results_jsonable
-    from .spans import load_events, reconstruct
+    from .slo import (
+        evaluate_spec,
+        fold_trace,
+        format_results,
+        load_spec,
+        results_jsonable,
+    )
+    from .spans import load_events
 
     args = build_obs_parser().parse_args(argv)
     if args.command == "diff":
@@ -434,16 +440,17 @@ def obs_main(argv: list[str] | None = None) -> int:
             print(f"report written to {_write_canonical(args.json, report)}")
         return 0
 
-    # args.command == "check"
-    try:
-        events = load_events(args.trace)
-    except (OSError, ValueError) as exc:
-        raise SystemExit(f"cannot read trace {args.trace}: {exc}") from None
+    # args.command == "check": validate the (small) spec before reading
+    # the (possibly large) trace.
     try:
         entries = load_spec(args.spec)
     except (OSError, ValueError) as exc:
         raise SystemExit(f"cannot read spec {args.spec}: {exc}") from None
-    results = evaluate_spec(entries, reconstruct(events))
+    try:
+        fold = fold_trace(args.trace)
+    except (OSError, ValueError) as exc:
+        raise SystemExit(f"cannot read trace {args.trace}: {exc}") from None
+    results = evaluate_spec(entries, fold)
     print(format_results(results))
     if args.json:
         path = Path(args.json)

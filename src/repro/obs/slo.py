@@ -1,8 +1,8 @@
-"""Declarative SLOs over reconstructed traces, for CI gating.
+"""Declarative SLOs over trace timelines, for CI gating.
 
 A spec file declares bounds on a small registered catalog of service-level
-metrics, all computed from a ``repro trace`` timeline via span
-reconstruction (:mod:`repro.obs.spans`) — no simulator re-run needed::
+metrics, all computed from a ``repro trace`` timeline in one streaming
+pass (:class:`SloAccumulator`) — no simulator re-run needed::
 
     {
       "slos": [
@@ -17,10 +17,17 @@ entry and exits non-zero when any bound is violated (or a required metric
 is unavailable in the trace), printing a per-SLO report — the same shape
 CI archives as JSON.
 
+The fold groups events exactly as span reconstruction does
+(:func:`repro.obs.spans.reconstruct`: ``(unit, frame)`` occurrences in
+``seq`` order, annotations joining a frame that has opened) but keeps only
+what the metrics read: one row per closed frame attempt, in the order the
+attempts opened, plus the stall and played tallies.  Memory is O(closed
+frames), not O(events).
+
 Like metrics and trace events, SLO metrics live in a module-scope catalog
 (:data:`SLO_METRICS`) so ``docs/METRICS.md`` can enumerate them and spec
 files can be validated against known names.  Every metric is a pure,
-deterministic function of the reconstruction.
+deterministic function of the finalized fold.
 """
 
 from __future__ import annotations
@@ -28,12 +35,22 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
-from .spans import Reconstruction
+from .spans import (
+    ANNOTATION_EVENTS,
+    SeqOrderError,
+    iter_events_in_order,
+    load_events,
+    seq_key,
+)
 
 __all__ = [
+    "SloAccumulator",
+    "fold_events",
+    "fold_trace",
     "SloMetric",
     "SLO_METRICS",
     "SloEntry",
@@ -45,6 +62,95 @@ __all__ = [
 ]
 
 
+class SloAccumulator:
+    """Single-pass fold of a trace into what the SLO metrics read.
+
+    Feed events in ``seq`` order via :meth:`add_event`, then call
+    :meth:`finalize`.  ``closed`` holds one row per closed frame attempt,
+    ``(open index, unit, airtime_s, lost_users, delivered_users)``, with
+    the outcome's fields as recorded; the metrics convert them (``float``,
+    ``int`` per user) when they read them, as the reconstructed
+    ``FrameSpans`` properties do.  After :meth:`finalize` the rows are in
+    open-index order, the order ``Reconstruction.closed_frames()`` lists
+    them in.
+    """
+
+    __slots__ = ("closed", "stalls", "played", "_open", "_opened", "_opens")
+
+    def __init__(self) -> None:
+        self.closed: list[tuple[int, str | None, Any, Any, Any]] = []
+        self.stalls = 0  # unframed core.playback_state "stalled" events
+        self.played = 0  # core.frame_played events that joined a frame
+        # (unit, frame) -> open index of its open attempt
+        self._open: dict[tuple[str | None, int], int] = {}
+        # every (unit, frame) that ever opened an attempt
+        self._opened: set[tuple[str | None, int]] = set()
+        self._opens = 0
+
+    def add_event(self, ev: Mapping[str, Any]) -> None:
+        """Fold one trace event; must be called in ``seq`` order."""
+        frame = ev.get("frame")
+        name = ev.get("event")
+        if frame is None:
+            if name == "core.playback_state" and ev.get("state") == "stalled":
+                self.stalls += 1
+            return
+        unit = ev.get("unit")
+        gk = (None if unit is None else str(unit), int(frame))
+        if name in ANNOTATION_EVENTS:
+            # An annotation joins its frame only if the frame has opened.
+            if name == "core.frame_played" and gk in self._opened:
+                self.played += 1
+            return
+        index = self._open.get(gk)
+        if index is None:
+            index = self._opens
+            self._opens += 1
+            self._open[gk] = index
+            self._opened.add(gk)
+        if name == "net.frame_outcome":
+            del self._open[gk]
+            self.closed.append((
+                index,
+                gk[0],
+                ev.get("airtime_s", 0.0),
+                ev.get("lost_users", ()),
+                ev.get("delivered_users", ()),
+            ))
+
+    def finalize(self) -> "SloAccumulator":
+        """Put the closed rows in open-index order; returns ``self``."""
+        self.closed.sort(key=itemgetter(0))
+        return self
+
+
+def fold_events(events: Iterable[Mapping[str, Any]]) -> SloAccumulator:
+    """Fold an event list in ``seq`` order (sorted stably, as
+    :func:`~repro.obs.spans.reconstruct` does) into a finalized fold."""
+    acc = SloAccumulator()
+    for ev in sorted(events, key=seq_key):
+        acc.add_event(ev)
+    return acc.finalize()
+
+
+def fold_trace(path: Path | str) -> SloAccumulator:
+    """Fold a ``repro trace`` JSONL file in one streaming pass.
+
+    Trace files are written in ``seq`` order, so the file streams straight
+    through the fold.  Should the ``seq`` key ever go down, the file is
+    re-read whole and refolded in sorted order, which keeps the result
+    equal to :func:`fold_events` over :func:`~repro.obs.spans.load_events`
+    for every input.
+    """
+    acc = SloAccumulator()
+    try:
+        for ev in iter_events_in_order(path):
+            acc.add_event(ev)
+    except SeqOrderError:
+        return fold_events(load_events(path))
+    return acc.finalize()
+
+
 @dataclass(frozen=True)
 class SloMetric:
     """One registered service-level metric computed from a trace."""
@@ -52,7 +158,7 @@ class SloMetric:
     name: str
     unit: str
     help: str
-    compute: Callable[[Reconstruction], float | None]
+    compute: Callable[[SloAccumulator], float | None]
 
     def describe(self) -> dict[str, Any]:
         """Static metadata — the METRICS.md generator input."""
@@ -64,8 +170,8 @@ SLO_METRICS: dict[str, SloMetric] = {}
 
 def _metric(
     name: str, unit: str, help: str
-) -> Callable[[Callable[[Reconstruction], float | None]], SloMetric]:
-    def register(fn: Callable[[Reconstruction], float | None]) -> SloMetric:
+) -> Callable[[Callable[[SloAccumulator], float | None]], SloMetric]:
+    def register(fn: Callable[[SloAccumulator], float | None]) -> SloMetric:
         declared = SloMetric(name=name, unit=unit, help=help, compute=fn)
         SLO_METRICS[name] = declared
         return declared
@@ -73,16 +179,20 @@ def _metric(
     return register
 
 
+def _users(raw: Any) -> tuple[int, ...]:
+    return tuple(int(u) for u in raw)
+
+
 @_metric(
     "frame_loss_rate", "fraction",
     "closed frame delivery attempts with at least one user's frame lost, "
     "over all closed attempts",
 )
-def _frame_loss_rate(recon: Reconstruction) -> float | None:
-    closed = recon.closed_frames()
+def _frame_loss_rate(fold: SloAccumulator) -> float | None:
+    closed = fold.closed
     if not closed:
         return None
-    lost = sum(1 for fs in closed if fs.status == "lost")
+    lost = sum(1 for row in closed if _users(row[3]))
     return lost / len(closed)
 
 
@@ -91,22 +201,10 @@ def _frame_loss_rate(recon: Reconstruction) -> float | None:
     "closed loop only: playback stall onsets per played frame, from "
     "core.playback_state and core.frame_played events",
 )
-def _stall_rate(recon: Reconstruction) -> float | None:
-    stalls = sum(
-        1
-        for ev in recon.unframed
-        if ev.get("event") == "core.playback_state"
-        and ev.get("state") == "stalled"
-    )
-    played = sum(
-        1
-        for fs in recon.frames
-        for ev in fs.events
-        if ev.get("event") == "core.frame_played"
-    )
-    if played == 0:
+def _stall_rate(fold: SloAccumulator) -> float | None:
+    if fold.played == 0:
         return None
-    return stalls / played
+    return fold.stalls / fold.played
 
 
 @_metric(
@@ -114,8 +212,8 @@ def _stall_rate(recon: Reconstruction) -> float | None:
     "95th percentile (nearest-rank) of end-to-end frame delivery latency "
     "over closed attempts",
 )
-def _p95_frame_latency_s(recon: Reconstruction) -> float | None:
-    latencies = sorted(fs.airtime_s for fs in recon.closed_frames())
+def _p95_frame_latency_s(fold: SloAccumulator) -> float | None:
+    latencies = sorted(float(row[2]) for row in fold.closed)
     if not latencies:
         return None
     rank = max(1, math.ceil(0.95 * len(latencies)))
@@ -128,20 +226,18 @@ def _p95_frame_latency_s(recon: Reconstruction) -> float | None:
     "delivered divided by the unit's total delivery airtime; the minimum "
     "over all users",
 )
-def _min_user_delivered_fps(recon: Reconstruction) -> float | None:
+def _min_user_delivered_fps(fold: SloAccumulator) -> float | None:
     airtime_by_unit: dict[str | None, float] = {}
     delivered: dict[tuple[str | None, int], int] = {}
     seen_users: set[tuple[str | None, int]] = set()
-    for fs in recon.closed_frames():
-        airtime_by_unit[fs.unit] = (
-            airtime_by_unit.get(fs.unit, 0.0) + fs.airtime_s
-        )
-        for u in fs.delivered_users:
-            key = (fs.unit, u)
+    for _, unit, airtime_s, lost_users, delivered_users in fold.closed:
+        airtime_by_unit[unit] = airtime_by_unit.get(unit, 0.0) + float(airtime_s)
+        for u in _users(delivered_users):
+            key = (unit, u)
             seen_users.add(key)
             delivered[key] = delivered.get(key, 0) + 1
-        for u in fs.lost_users:
-            seen_users.add((fs.unit, u))
+        for u in _users(lost_users):
+            seen_users.add((unit, u))
     if not seen_users:
         return None
     floor: float | None = None
@@ -227,12 +323,13 @@ def load_spec(path: Path | str) -> list[SloEntry]:
 
 
 def evaluate_spec(
-    entries: list[SloEntry], recon: Reconstruction
+    entries: list[SloEntry], fold: SloAccumulator
 ) -> list[SloResult]:
-    """Evaluate every entry; a metric the trace cannot supply fails it."""
+    """Evaluate every entry against a finalized fold; a metric the trace
+    cannot supply fails it."""
     results: list[SloResult] = []
     for entry in entries:
-        value = SLO_METRICS[entry.metric].compute(recon)
+        value = SLO_METRICS[entry.metric].compute(fold)
         if value is None:
             ok = False
         elif entry.kind == "max":

@@ -38,7 +38,11 @@ __all__ = [
     "span_type",
     "FrameSpans",
     "Reconstruction",
+    "ANNOTATION_EVENTS",
+    "SeqOrderError",
+    "seq_key",
     "iter_events",
+    "iter_events_in_order",
     "load_events",
     "reconstruct",
 ]
@@ -248,6 +252,21 @@ class Reconstruction:
         return [fs for fs in self.frames if fs.closed]
 
 
+# One shared decoder: ``raw_decode`` skips ``json.loads``'s per-call
+# type dispatch and trailing-whitespace scan; any line it cannot take whole
+# is handed back to ``json.loads`` for the canonical exception.
+_raw_decode = json.JSONDecoder().raw_decode
+
+
+def seq_key(ev: Mapping[str, Any]) -> int:
+    """The total-order key of a trace event (``seq``, 0 when missing)."""
+    return int(ev.get("seq", 0))
+
+
+class SeqOrderError(ValueError):
+    """A trace file's ``seq`` key went down between two records."""
+
+
 def iter_events(path: Path | str) -> Iterator[dict[str, Any]]:
     """Stream a ``repro trace`` JSONL file one event dict at a time.
 
@@ -259,6 +278,24 @@ def iter_events(path: Path | str) -> Iterator[dict[str, Any]]:
     interrupted run) is called out as truncated rather than surfacing a
     JSON stack trace.
     """
+    return _iter_events(path, ordered=False)
+
+
+def iter_events_in_order(path: Path | str) -> Iterator[dict[str, Any]]:
+    """:func:`iter_events`, guarding the ``seq`` order single-pass folds
+    rely on.
+
+    Raises :class:`SeqOrderError` (a :class:`ValueError`) naming
+    ``path:lineno`` and both keys at the first record whose
+    :func:`seq_key` is lower than its predecessor's; records up to that
+    one have already been yielded.  Equal keys are in order (a stable
+    sort keeps them as written).
+    """
+    return _iter_events(path, ordered=True)
+
+
+def _iter_events(path: Path | str, ordered: bool) -> Iterator[dict[str, Any]]:
+    last_seq: int | None = None
     with open(path, "r", encoding="utf-8") as fh:
         lineno = 0
         for raw in fh:
@@ -267,18 +304,33 @@ def iter_events(path: Path | str) -> Iterator[dict[str, Any]]:
             if not line:
                 continue
             try:
-                event = json.loads(line)
-            except ValueError as exc:
-                if not raw.endswith("\n"):
+                event, end = _raw_decode(line)
+            except ValueError:
+                end = -1
+            if end != len(line):
+                # ``json.loads`` rejects every line ``raw_decode`` could not
+                # take whole, with the exception the diagnosis quotes.
+                try:
+                    event = json.loads(line)
+                except ValueError as exc:
+                    if not raw.endswith("\n"):
+                        raise ValueError(
+                            f"{path}:{lineno}: truncated trace record "
+                            f"(partial write?): {line[:60]!r}"
+                        ) from exc
                     raise ValueError(
-                        f"{path}:{lineno}: truncated trace record (partial "
-                        f"write?): {line[:60]!r}"
+                        f"{path}:{lineno}: not valid JSON: {exc}"
                     ) from exc
-                raise ValueError(
-                    f"{path}:{lineno}: not valid JSON: {exc}"
-                ) from exc
             if not isinstance(event, dict):
                 raise ValueError(f"{path}:{lineno}: expected a JSON object")
+            if ordered:
+                seq = seq_key(event)
+                if last_seq is not None and seq < last_seq:
+                    raise SeqOrderError(
+                        f"{path}:{lineno}: seq {seq} follows seq {last_seq}; "
+                        "the trace is not in seq order"
+                    )
+                last_seq = seq
             yield event
 
 
@@ -385,8 +437,9 @@ def _span_from_event(ev: Mapping[str, Any]) -> Span | None:
 
 
 # Events that *describe* a finished delivery instead of contributing to an
-# in-flight one: they join the latest closed occurrence of their frame.
-_ANNOTATION_EVENTS = ("core.frame_played", "core.qoe_sample")
+# in-flight one: they join the latest closed occurrence of their frame, and
+# never open or close a span group.
+ANNOTATION_EVENTS = ("core.frame_played", "core.qoe_sample")
 
 
 def reconstruct(events: Iterable[Mapping[str, Any]]) -> Reconstruction:
@@ -411,7 +464,7 @@ def reconstruct(events: Iterable[Mapping[str, Any]]) -> Reconstruction:
     # (unit, frame) -> number of occurrences started
     occurrences: dict[tuple[str | None, int], int] = {}
 
-    ordered = sorted(events, key=lambda ev: int(ev.get("seq", 0)))
+    ordered = sorted(events, key=seq_key)
     for ev in ordered:
         event_dict = dict(ev)
         frame = event_dict.get("frame")
@@ -423,7 +476,7 @@ def reconstruct(events: Iterable[Mapping[str, Any]]) -> Reconstruction:
         gk = (unit_s, int(frame))
         name = event_dict.get("event")
 
-        if name in _ANNOTATION_EVENTS:
+        if name in ANNOTATION_EVENTS:
             target = closed_latest.get(gk) or open_groups.get(gk)
             if target is None:
                 recon.unframed.append(event_dict)

@@ -41,7 +41,7 @@ from .analyze import (
     close_attribution,
     fold_event_into_segments,
 )
-from .spans import iter_events
+from .spans import ANNOTATION_EVENTS, iter_events_in_order
 
 __all__ = [
     "ExactSum",
@@ -212,10 +212,6 @@ class _OpenFrame:
         self.saw_breakdown = False
 
 
-# Events that describe a finished delivery after the fact; they never open
-# or close a span group (mirrors repro.obs.spans._ANNOTATION_EVENTS).
-_ANNOTATION_EVENTS = ("core.frame_played", "core.qoe_sample")
-
 _ADMISSION_EVENTS = {
     "scenario.user_arrival": "arrivals",
     "scenario.user_rejected": "rejected",
@@ -279,7 +275,7 @@ class AnalyzeAccumulator:
             self._fold_admission(ev, counter)
 
         frame = ev.get("frame")
-        if frame is None or name in _ANNOTATION_EVENTS:
+        if frame is None or name in ANNOTATION_EVENTS:
             # Unframed events and after-the-fact annotations contribute to
             # the event count (and the tallies above) but never to a span
             # group — exactly the batch reconstruction's accounting.
@@ -490,15 +486,19 @@ def stream_analyze(
 ) -> dict[str, Any]:
     """Analyze one or more trace files in a single bounded-memory pass.
 
-    Events stream straight from disk (:func:`repro.obs.spans.iter_events`)
-    into one :class:`AnalyzeAccumulator`, file by file in the given order.
-    For trace files written by ``repro trace`` (which emits in ``seq``
-    order) the report is bit-identical to ``analyze(load_events(path))``.
+    Events stream straight from disk
+    (:func:`repro.obs.spans.iter_events_in_order`) into one
+    :class:`AnalyzeAccumulator`, file by file in the given order.  Trace
+    files written by ``repro trace`` are in ``seq`` order, and for them
+    the report is bit-identical to ``analyze(load_events(path))``.  A file
+    whose ``seq`` goes down is rejected with a
+    :class:`~repro.obs.spans.SeqOrderError` naming the line: batch
+    ``analyze`` sorts such a file first, which bounded memory rules out.
     """
     if isinstance(paths, (str, Path)):
         paths = [paths]
     acc = AnalyzeAccumulator(top=top)
     for path in paths:
-        for ev in iter_events(path):
+        for ev in iter_events_in_order(path):
             acc.add_event(ev)
     return acc.finalize()

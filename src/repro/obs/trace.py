@@ -105,13 +105,24 @@ class TraceEvent:
 
     def to_jsonable(self) -> dict[str, Any]:
         """Canonical JSON-line shape (stable key order)."""
-        return {
-            "t": self.t,
-            "seq": self.seq,
-            "layer": self.layer,
-            "event": self.event,
-            **{k: self.fields[k] for k in sorted(self.fields)},
-        }
+        return _line_dict(self.t, self.seq, self.layer, self.event, self.fields)
+
+
+def _line_dict(
+    t: float, seq: int, layer: str, event: str, fields: Mapping[str, Any]
+) -> dict[str, Any]:
+    """The canonical JSON-line dict: the four header keys, then the fields
+    in sorted key order (a field named like a header key overrides its
+    value in place)."""
+    line = {"t": t, "seq": seq, "layer": layer, "event": event}
+    for key in sorted(fields):
+        line[key] = fields[key]
+    return line
+
+
+# One shared compact encoder; its defaults are exactly ``json.dumps``'s, so
+# ``_encode_line(d) == json.dumps(d, separators=(",", ":"))``.
+_encode_line = json.JSONEncoder(separators=(",", ":")).encode
 
 
 class TraceEventType:
@@ -221,7 +232,7 @@ class TraceRecorder:
     def jsonl_lines(self) -> Iterator[str]:
         """One canonical JSON document per event, in emission order."""
         for ev in self.events:
-            yield json.dumps(ev.to_jsonable(), sort_keys=False, separators=(",", ":"))
+            yield _encode_line(ev.to_jsonable())
 
     def write_jsonl(self, path: Path | str) -> Path:
         """Write the timeline as JSON lines; returns the path."""
@@ -286,16 +297,14 @@ class StreamingTraceRecorder(TraceRecorder):
             return
         if self._names is not None and kind.name not in self._names:
             return
-        merged = {**self.context, **fields} if self.context else dict(fields)
-        ev = TraceEvent(
-            t=self.now if t is None else float(t),
-            seq=seq,
-            layer=kind.layer,
-            event=kind.name,
-            fields=merged,
-        )
+        merged = {**self.context, **fields} if self.context else fields
         self._pending.append(
-            json.dumps(ev.to_jsonable(), sort_keys=False, separators=(",", ":"))
+            _encode_line(
+                _line_dict(
+                    self.now if t is None else float(t),
+                    seq, kind.layer, kind.name, merged,
+                )
+            )
         )
         self._counts[kind.layer] = self._counts.get(kind.layer, 0) + 1
         self._written += 1

@@ -11,11 +11,12 @@ from repro.obs.slo import (
     SLO_METRICS,
     SloEntry,
     evaluate_spec,
+    fold_events,
     format_results,
     load_spec,
     results_jsonable,
 )
-from repro.obs.spans import load_events, reconstruct
+from repro.obs.spans import load_events
 
 
 def _ev(seq, event, layer="net", t=0.0, **fields):
@@ -89,24 +90,24 @@ def test_load_spec_validates_shape(tmp_path):
 
 
 def test_metrics_over_a_synthetic_trace():
-    recon = reconstruct([
+    fold = fold_events([
         _ev(0, "net.frame_outcome", unit="u", frame=0, t=0.01,
             airtime_s=0.010, delivered_users=[0, 1], lost_users=[]),
         _ev(1, "net.frame_outcome", unit="u", frame=1, t=0.05,
             airtime_s=0.040, delivered_users=[0], lost_users=[1]),
     ])
-    assert SLO_METRICS["frame_loss_rate"].compute(recon) == 0.5
-    assert SLO_METRICS["p95_frame_latency_s"].compute(recon) == 0.040
+    assert SLO_METRICS["frame_loss_rate"].compute(fold) == 0.5
+    assert SLO_METRICS["p95_frame_latency_s"].compute(fold) == 0.040
     # user 0: 2 frames / 0.05 s = 40 fps; user 1: 1 frame / 0.05 s = 20 fps.
-    assert SLO_METRICS["min_user_delivered_fps"].compute(recon) == (
+    assert SLO_METRICS["min_user_delivered_fps"].compute(fold) == (
         pytest.approx(20.0)
     )
     # No played frames -> stall rate unavailable.
-    assert SLO_METRICS["stall_rate"].compute(recon) is None
+    assert SLO_METRICS["stall_rate"].compute(fold) is None
 
 
 def test_evaluation_verdicts_and_unavailable_metric():
-    recon = reconstruct([
+    fold = fold_events([
         _ev(0, "net.frame_outcome", unit="u", frame=0, t=0.01,
             airtime_s=0.010, delivered_users=[0], lost_users=[]),
     ])
@@ -116,7 +117,7 @@ def test_evaluation_verdicts_and_unavailable_metric():
             SloEntry("p95_frame_latency_s", 0.005, "max"),  # 0.010 > 0.005
             SloEntry("stall_rate", 1.0, "max"),             # unavailable
         ],
-        recon,
+        fold,
     )
     assert [r.ok for r in results] == [True, False, False]
     assert results[2].value is None

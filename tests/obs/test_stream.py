@@ -249,3 +249,26 @@ def test_analyze_cli_stream_flag_byte_identical(loss_sweep_trace, tmp_path):
          str(stream_out), "--quiet"]
     ) == 0
     assert batch_out.read_bytes() == stream_out.read_bytes()
+
+
+def test_stream_analyze_rejects_a_seq_regression(loss_sweep_trace, tmp_path):
+    # Batch analyze sorts by seq; the bounded-memory stream cannot, so a
+    # file out of seq order is an error naming the line, never a silently
+    # different report.
+    from repro.obs.cli import obs_main
+
+    lines = loss_sweep_trace.read_text(encoding="utf-8").splitlines(True)
+    lines[10], lines[11] = lines[11], lines[10]
+    swapped = tmp_path / "swapped.jsonl"
+    swapped.write_text("".join(lines), encoding="utf-8")
+    first, second = json.loads(lines[10])["seq"], json.loads(lines[11])["seq"]
+    assert first > second
+    message = f"swapped.jsonl:12: seq {second} follows seq {first}"
+    with pytest.raises(ValueError, match=message):
+        stream_analyze(swapped)
+    with pytest.raises(SystemExit, match=f"cannot read trace .*{message}"):
+        obs_main(["analyze", "--stream", str(swapped), "--quiet"])
+    # Batch analyze still sorts the file into the original report.
+    assert analyze(load_events(swapped)) == analyze(
+        load_events(loss_sweep_trace)
+    )
