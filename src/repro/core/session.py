@@ -25,7 +25,6 @@ import numpy as np
 from ..mac.scheduler import UserDemand, plan_frame
 from ..net import TransportConfig, TransportSimulator
 from ..pointcloud import (
-    CellGrid,
     CompressionModel,
     DEFAULT_COMPRESSION,
     PointCloudVideo,
@@ -33,6 +32,7 @@ from ..pointcloud import (
     VisibilityConfig,
     VisibilityResult,
     compute_visibility,
+    memoized_visibility,
 )
 from ..prediction.base import ViewportPredictor
 from ..prediction.blockage import BlockageForecaster
@@ -121,49 +121,45 @@ class _DemandBuilder:
 
     def __init__(self, config: SessionConfig) -> None:
         self.config = config
-        margin = 0.05
-        self.grid = CellGrid.covering(
-            config.video.bounds, config.cell_size, margin=margin
-        )
-        self._occupancy_cache: dict[int, object] = {}
 
     def occupancy(self, frame_index: int):
-        vf = frame_index % len(self.config.video)
-        if vf not in self._occupancy_cache:
-            if self.config.partitioner == "octree":
-                from ..pointcloud import build_octree
-
-                tree = build_octree(
-                    self.config.video[vf],
-                    root=self.config.video.bounds,
-                    max_points_per_leaf=self.config.octree_points_per_leaf,
-                )
-                self._occupancy_cache[vf] = tree.occupancy()
-            else:
-                self._occupancy_cache[vf] = self.grid.occupancy(
-                    self.config.video[vf]
-                )
-        return self._occupancy_cache[vf]
-
-    def pose_for(self, user_index: int, frame_index: int, now_s: float):
-        """Pose used to compute the demand: predicted or oracle."""
-        trace = self.config.study.traces[user_index]
-        display_t = frame_index / self.config.target_fps
-        predictor = self.config.predictor
-        horizon = display_t - now_s
-        if predictor is None or horizon <= 0:
-            return trace.pose_at(display_t)
-        now_index = trace.index_at(now_s)
-        history = trace.window(now_index, int(round(trace.rate_hz)))
-        return predictor.predict(history, horizon)
+        """The frame's occupancy, shared by every user of the same video."""
+        config = self.config
+        return config.video.occupancy(
+            frame_index % len(config.video),
+            config.cell_size,
+            config.partitioner,
+            config.octree_points_per_leaf,
+        )
 
     def _visibility(
         self, user_index: int, frame_index: int, now_s: float
     ) -> VisibilityResult:
-        """Visible cells of one frame from the user's demand pose."""
+        """Visible cells of one frame from the user's demand pose.
+
+        The demand pose is the oracle pose at display time, memoized per
+        occupancy, or a prediction when a predictor looks ahead.  Predicted
+        views seldom repeat: over the ``ablation_importance`` units (the
+        only registered sessions with a predictor) 13 % of predicted
+        demands repeat a view at small scale and 7 % at default scale, 0 %
+        within ``ablation_session``, while each memoized view stays alive
+        (~0.8 KB) as long as the video.  So they bypass the memo, which
+        then holds oracle views only.
+        """
+        config = self.config
         occ = self.occupancy(frame_index)
-        pose = self.pose_for(user_index, frame_index, now_s)
-        return compute_visibility(occ, pose.frustum(), self.config.visibility)
+        trace = config.study.traces[user_index]
+        display_t = frame_index / config.target_fps
+        predictor = config.predictor
+        horizon = display_t - now_s
+        if predictor is None or horizon <= 0:
+            return memoized_visibility(
+                occ, trace.pose_at(display_t), config.visibility
+            )
+        now_index = trace.index_at(now_s)
+        history = trace.window(now_index, int(round(trace.rate_hz)))
+        pose = predictor.predict(history, horizon)
+        return compute_visibility(occ, pose.frustum(), config.visibility)
 
     def demand(
         self,

@@ -45,7 +45,7 @@ from ..core import (
 from ..mac import AD_MODEL, RecoveryPolicy, apply_recovery
 from ..mmwave import compute_blockage_timeline
 from ..net import TransportConfig
-from ..pointcloud import CellGrid, VisibilityConfig, compute_visibility
+from ..pointcloud import VisibilityConfig, memoized_visibility
 from ..runner import Experiment, RunSpec, register, run_experiment
 from .common import (
     AP_POSITION,
@@ -126,12 +126,12 @@ def _allocation_comparison(
     over the same users, weights, and budget.
     """
     budget_mbps = rates.unicast_rate_mbps(0, 0) * (1.0 - loss)
-    grid = CellGrid.covering(video.bounds, 0.5, margin=0.05)
-    occupancy = grid.occupancy(video[0])
+    occupancy = video.occupancy(0, 0.5)
+    config = VisibilityConfig()
     users = []
     for u in range(num_users):
         pose = study.traces[u].pose_at(0.0)
-        vis = compute_visibility(occupancy, pose.frustum(), VisibilityConfig())
+        vis = memoized_visibility(occupancy, pose, config)
         distance_m = float(np.linalg.norm(pose.position - CONTENT_CENTER))
         users.append(
             UserAllocationInput(

@@ -17,6 +17,7 @@ from .visibility import (
     VisibilityResult,
     compute_visibility,
     compute_visibility_batch,
+    memoized_visibility,
 )
 
 __all__ = [
@@ -44,4 +45,5 @@ __all__ = [
     "VisibilityResult",
     "compute_visibility",
     "compute_visibility_batch",
+    "memoized_visibility",
 ]

@@ -123,7 +123,7 @@ class CellGrid:
 
 
 class CellArrays:
-    """Per-frame cell arrays, computed once per occupancy.
+    """Per-frame cell arrays and visibility memo, kept once per occupancy.
 
     Mixed into :class:`FrameOccupancy` and
     :class:`~repro.pointcloud.octree.OctreeOccupancy`, which supply
@@ -144,6 +144,15 @@ class CellArrays:
         for array in (nominal, lows, highs, centers):
             array.flags.writeable = False
         return nominal, lows, highs, centers
+
+    @cached_property
+    def visibility_memo(self) -> dict:
+        """Visibility results of this frame, keyed by exact view and config.
+
+        Filled by :func:`~repro.pointcloud.visibility.memoized_visibility`;
+        it lives and dies with the occupancy.
+        """
+        return {}
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..geometry import AABB
+from .cells import CellGrid
 from .cloud import PointCloudFrame
+from .octree import build_octree
 
 __all__ = ["QualityLevel", "QUALITIES", "QUALITY_ORDER", "PointCloudVideo"]
 
@@ -59,6 +61,14 @@ class PointCloudVideo:
     frames: list[PointCloudFrame]
     fps: float = 30.0
     quality: QualityLevel = field(default_factory=lambda: QUALITIES["high"])
+    # Per-instance stores behind :meth:`occupancy`: every session that plays
+    # this video object shares them, and they go when the video does.
+    _grids: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    _occupancies: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if not self.frames:
@@ -87,6 +97,42 @@ class PointCloudVideo:
         for frame in self.frames[1:]:
             box = box.union(frame.bounds)
         return box
+
+    def occupancy(
+        self,
+        index: int,
+        cell_size: float,
+        partitioner: str = "grid",
+        points_per_leaf: int = 300,
+    ):
+        """Cell occupancy of frame ``index``, built once per video object.
+
+        ``"grid"`` partitions on ``CellGrid.covering(bounds, cell_size,
+        margin=0.05)``; ``"octree"`` builds adaptive leaves of about
+        ``points_per_leaf`` sampled points under the video's bounds.  The
+        result is keyed by ``(partitioner, cell_size, points_per_leaf,
+        index)`` and shared by every caller, together with its visibility
+        memo (see :func:`~repro.pointcloud.visibility.memoized_visibility`),
+        so the frames must not be edited in place afterwards.
+        """
+        key = (partitioner, cell_size, points_per_leaf, index)
+        occupancy = self._occupancies.get(key)
+        if occupancy is None:
+            if partitioner == "octree":
+                occupancy = build_octree(
+                    self.frames[index],
+                    root=self.bounds,
+                    max_points_per_leaf=points_per_leaf,
+                ).occupancy()
+            else:
+                grid = self._grids.get(cell_size)
+                if grid is None:
+                    grid = self._grids[cell_size] = CellGrid.covering(
+                        self.bounds, cell_size, margin=0.05
+                    )
+                occupancy = grid.occupancy(self.frames[index])
+            self._occupancies[key] = occupancy
+        return occupancy
 
     def frame_at(self, t: float) -> PointCloudFrame:
         """Frame displayed at time ``t`` seconds (clamped to the video)."""

@@ -33,6 +33,7 @@ __all__ = [
     "VisibilityResult",
     "compute_visibility",
     "compute_visibility_batch",
+    "memoized_visibility",
 ]
 
 
@@ -83,6 +84,9 @@ class VisibilityResult:
     def __post_init__(self) -> None:
         if not (len(self.cell_ids) == len(self.fractions) == len(self.nominal_counts)):
             raise ValueError("parallel arrays must align")
+        # Results are shared between callers (see memoized_visibility).
+        for array in (self.cell_ids, self.fractions, self.nominal_counts):
+            array.flags.writeable = False
         object.__setattr__(
             self, "_visible_set", frozenset(int(c) for c in self.cell_ids)
         )
@@ -130,6 +134,30 @@ def compute_visibility(
     """Apply the configured ViVo optimizations to one frame for one viewer."""
     config = config or VisibilityConfig()
     return compute_visibility_batch(occupancy, [frustum], config)[0]
+
+
+def memoized_visibility(
+    occupancy: FrameOccupancy,
+    pose,
+    config: VisibilityConfig,
+) -> VisibilityResult:
+    """:func:`compute_visibility` from ``pose.frustum()``, once per occupancy.
+
+    ``pose`` is a :class:`~repro.traces.Pose` (anything with ``position``,
+    ``orientation`` and ``frustum()``).  The result is kept in the
+    occupancy's ``visibility_memo`` under the exact pose (position bytes and
+    quaternion) and the config, so a repeated view returns the same
+    read-only result object without building a frustum.  The frustum's
+    FoV and clip planes are ``Pose.frustum``'s defaults, which the key
+    therefore need not name.
+    """
+    q = pose.orientation
+    key = (pose.position.tobytes(), q.w, q.x, q.y, q.z, config)
+    memo = occupancy.visibility_memo
+    result = memo.get(key)
+    if result is None:
+        result = memo[key] = compute_visibility(occupancy, pose.frustum(), config)
+    return result
 
 
 def compute_visibility_batch(

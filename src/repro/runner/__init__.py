@@ -2,9 +2,10 @@
 
 The work-unit abstraction (:class:`RunSpec`), the experiment registry, a
 multiprocessing executor with deterministic spec-ordered merging, an
-on-disk JSON result cache keyed by (spec, package version), and progress /
-timing reporting.  See EXPERIMENTS.md ("Parallel runner") for the CLI
-surface (``repro run --parallel N``, ``repro figures --parallel N``).
+on-disk JSON result cache keyed by (spec, package version + source
+fingerprint), and progress / timing reporting.  See EXPERIMENTS.md
+("Parallel runner") for the CLI surface (``repro run --parallel N``,
+``repro figures --parallel N``).
 """
 
 from .cache import ResultCache, default_cache_root

@@ -2,9 +2,11 @@
 
 Each completed :class:`~repro.runner.spec.RunSpec` is stored as one JSON
 file under ``<root>/<experiment>/<sha256>.json``, keyed by a hash of the
-canonical (spec, package version) pair — bumping ``repro.__version__``
-invalidates every entry, and any parameter or seed change lands on a new
-key, so repeated figure builds are incremental but never stale.
+canonical (spec, code version) pair.  The default code version is
+``repro.__version__`` plus :func:`source_fingerprint`, a sha256 over every
+``.py`` file of the package, so editing any model code invalidates every
+entry, and any parameter or seed change lands on a new key: repeated
+figure builds are incremental but never stale.
 
 The default root is ``.repro-cache`` in the working directory, overridable
 with the ``REPRO_CACHE_DIR`` environment variable or ``--cache-dir``.
@@ -14,18 +16,26 @@ runs never leave a torn entry behind.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
+from functools import lru_cache
 from pathlib import Path
 from typing import Any
 
 from .. import __version__
 from .spec import RunSpec
 
-__all__ = ["ResultCache", "default_cache_root"]
+__all__ = [
+    "ResultCache",
+    "default_cache_root",
+    "default_version",
+    "source_fingerprint",
+]
 
 ENV_CACHE_DIR = "REPRO_CACHE_DIR"
 DEFAULT_CACHE_DIRNAME = ".repro-cache"
+PACKAGE_ROOT = Path(__file__).resolve().parent.parent
 
 
 def default_cache_root() -> Path:
@@ -34,12 +44,33 @@ def default_cache_root() -> Path:
     return Path(env) if env else Path(DEFAULT_CACHE_DIRNAME)
 
 
+@lru_cache(maxsize=4)
+def source_fingerprint(root: Path = PACKAGE_ROOT) -> str:
+    """sha256 over the sorted ``**/*.py`` files under ``root``.
+
+    Each file contributes its path relative to ``root`` and its bytes, both
+    length-prefixed.  Computed once per process and root.
+    """
+    digest = hashlib.sha256()
+    files = {path.relative_to(root).as_posix(): path for path in root.rglob("*.py")}
+    for name in sorted(files):
+        for chunk in (name.encode(), files[name].read_bytes()):
+            digest.update(len(chunk).to_bytes(8, "little"))
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
+def default_version(root: Path = PACKAGE_ROOT) -> str:
+    """The cache's default code version: package version + source hash."""
+    return f"{__version__}+src.{source_fingerprint(root)}"
+
+
 class ResultCache:
     """Spec-keyed JSON store; a corrupt or mismatched entry reads as a miss."""
 
-    def __init__(self, root: Path | str | None = None, version: str = __version__):
+    def __init__(self, root: Path | str | None = None, version: str | None = None):
         self.root = Path(root) if root is not None else default_cache_root()
-        self.version = str(version)
+        self.version = default_version() if version is None else str(version)
 
     def path_for(self, spec: RunSpec) -> Path:
         return self.root / spec.experiment / f"{spec.digest(self.version)}.json"

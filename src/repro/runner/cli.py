@@ -11,7 +11,8 @@ of another), then merge and print each experiment in registration order —
 the output is independent of ``--parallel`` by construction.
 
 Results are cached on disk (``.repro-cache`` or ``$REPRO_CACHE_DIR``)
-keyed by the hash of (spec, package version); ``--no-cache`` bypasses the
+keyed by the hash of (spec, package version + source fingerprint), so an
+edit to any model code misses; ``--no-cache`` bypasses the
 cache, ``--clear-cache`` empties it first.
 """
 

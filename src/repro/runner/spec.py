@@ -103,6 +103,6 @@ class RunSpec:
         )
 
     def digest(self, version: str) -> str:
-        """Cache key: sha256 over the canonical (spec, package version) pair."""
+        """Cache key: sha256 over the canonical (spec, code version) pair."""
         body = canonical_json({"spec": self.to_jsonable(), "version": version})
         return hashlib.sha256(body.encode("utf-8")).hexdigest()

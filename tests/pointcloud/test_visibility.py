@@ -139,6 +139,16 @@ def test_result_rejects_misaligned_arrays():
         )
 
 
+@pytest.mark.parametrize("name", ["cell_ids", "fractions", "nominal_counts"])
+def test_result_arrays_are_read_only(slab_occupancy, name):
+    viewer = looking_at_origin([3.0, 0.5, 0.5])
+    vis = compute_visibility(slab_occupancy, viewer, VisibilityConfig())
+    array = getattr(vis, name)
+    assert len(array)
+    with pytest.raises(ValueError):
+        array[0] = array[0]
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     st.floats(min_value=1.5, max_value=10.0),

@@ -203,5 +203,7 @@ def test_results_do_not_alias_the_cached_arrays(scene):
     for result in compute_visibility_batch(
         occ, frustums[:2], VisibilityConfig.vanilla()
     ):
-        assert result.nominal_counts.flags.writeable
+        # An owned copy, read-only because results are shared.
+        assert result.nominal_counts.flags.owndata
+        assert not result.nominal_counts.flags.writeable
         assert not np.shares_memory(result.nominal_counts, occ.cell_arrays[0])

@@ -3,9 +3,16 @@
 from __future__ import annotations
 
 import json
+import shutil
 
+from repro import __version__
 from repro.runner import ResultCache, RunSpec
-from repro.runner.cache import ENV_CACHE_DIR, default_cache_root
+from repro.runner.cache import (
+    ENV_CACHE_DIR,
+    PACKAGE_ROOT,
+    default_cache_root,
+    default_version,
+)
 
 
 def test_round_trip_preserves_floats_exactly(tmp_path):
@@ -68,3 +75,23 @@ def test_default_root_honors_env(monkeypatch, tmp_path):
     assert default_cache_root() == tmp_path / "elsewhere"
     monkeypatch.delenv(ENV_CACHE_DIR)
     assert default_cache_root().name == ".repro-cache"
+
+
+def test_default_key_fingerprints_the_source(tmp_path):
+    spec = RunSpec.make("exp", x=1)
+    same_a = tmp_path / "same_a" / "repro"
+    same_b = tmp_path / "same_b" / "repro"
+    edited = tmp_path / "edited" / "repro"
+    for root in (same_a, same_b, edited):
+        shutil.copytree(PACKAGE_ROOT, root, ignore=shutil.ignore_patterns("__pycache__"))
+    module = edited / "runner" / "spec.py"
+    module.write_bytes(module.read_bytes() + b" ")
+
+    assert default_version(same_a) == default_version(same_b)
+    assert default_version(same_a) == default_version()
+    assert default_version(edited) != default_version(same_a)
+    assert default_version().startswith(f"{__version__}+src.")
+    cache = ResultCache(root=tmp_path / "cache")
+    assert cache.version == default_version()
+    assert spec.digest(default_version(edited)) != spec.digest(cache.version)
+    assert ResultCache(root=tmp_path, version="pinned").version == "pinned"
